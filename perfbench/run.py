@@ -72,13 +72,18 @@ def percentile(values: list[float], q: int) -> float:
 
 
 def timed_passes(workload, seconds: float, min_passes: int, tracer=None):
-    """Run passes until the next one would take the timed total past
-    *seconds* (and at least *min_passes*).
+    """Run passes until the next one would take the measuring phase past
+    *seconds* of wall time (and at least *min_passes*).
+
+    The phase includes the untimed work between passes
+    (``Workload.after_pass``): a workload that checks results there makes
+    fewer passes in the same stretch of wall time.
 
     Returns ``(record, traced)`` pairs.  With a *tracer*, passes alternate
     untraced and traced, starting untraced.
     """
     records = []
+    start = time.perf_counter()
     while True:
         index = len(records)
         traced = tracer is not None and index % 2 == 1
@@ -86,9 +91,9 @@ def timed_passes(workload, seconds: float, min_passes: int, tracer=None):
                   else workload.run_pass(index, None))
         records.append((record, traced))
         workload.after_pass()
-        walls = [r.wall for r, _ in records]
+        elapsed = time.perf_counter() - start
         if (len(records) >= min_passes
-                and sum(walls) + statistics.median(walls) > seconds):
+                and elapsed + elapsed / len(records) > seconds):
             return records
 
 

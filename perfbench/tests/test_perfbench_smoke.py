@@ -30,9 +30,8 @@ def _run(cwd: Path, *args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("workload,trace", [
     ("run-warm", 1),
     ("sweep-cold", 1),
-    ("sweep-all-warm", 1),
     ("serve-mixed", 1),
-    ("sweep-all-warm", 0),
+    ("run-warm", 0),
 ])
 def test_tiny_run_is_correct_and_prints_declared_metrics(workload, trace):
     proc = _run(ROOT, "--workload", workload, "--seed", "3", "--seconds", "0.5",

@@ -61,10 +61,6 @@ def test_sweep_generators_are_deterministic():
     size = workloads.FULL
     assert workloads.sweep_cold_plan(3, size) == workloads.sweep_cold_plan(3, size)
     assert workloads.sweep_cold_plan(3, size) != workloads.sweep_cold_plan(4, size)
-    jobs = workloads.sweep_all_warm_jobs(3, size)
-    assert jobs == workloads.sweep_all_warm_jobs(3, size)
-    assert jobs != workloads.sweep_all_warm_jobs(4, size)
-    assert len(jobs) == 12 * len(size.all_warm_workloads)
 
 
 def test_serve_mixed_plan_is_deterministic_and_about_half_repeats():

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads.
+"""The benchmark's workloads.
 
 Each workload has a seeded generator (a pure function of the seed, tested
 for determinism), a set-up that builds everything the timed section needs
@@ -51,14 +51,13 @@ class Size:
     run_warm_workloads: int = 3
     #: ``(warmup, measured)`` passed to ``repro run``; None = CLI default.
     run_warm_slice: tuple[int, int] | None = None
-    #: ``(warmup, measured)`` of the sweeps and of ``serve-mixed``.
+    #: ``(warmup, measured)`` of ``sweep-cold``.
     slice: tuple[int, int] = (2000, 6000)
     sweep_cold_workloads: tuple[str, ...] | None = None  # None = all 19
-    all_warm_workloads: tuple[str, ...] = ("gcc", "lbm")
     serve_workloads: tuple[str, ...] = ("gcc", "mcf", "lbm", "h264ref")
     #: Trace length of every ``serve-mixed`` job (warm-up + measured).
     serve_total: int = 48000
-    serve_batch: int = 3
+    serve_batch: int = 2
     serve_batches_per_pass: int = 12
     setup_repeats: int = 3
 
@@ -70,7 +69,7 @@ class Size:
 FULL = Size()
 TINY = Size(run_warm_workloads=2, run_warm_slice=(500, 1500),
             slice=(500, 1500), sweep_cold_workloads=("gcc", "lbm", "mcf"),
-            all_warm_workloads=("gcc",), serve_workloads=("gcc", "lbm"),
+            serve_workloads=("gcc", "lbm"),
             serve_total=2000,
             serve_batch=2,
             serve_batches_per_pass=3, setup_repeats=1)
@@ -115,17 +114,6 @@ def sweep_cold_plan(seed: int, size: Size) -> dict:
             "trace_seed": _trace_seed(random.Random(f"sweep-cold:{seed}"))}
 
 
-def sweep_all_warm_jobs(seed: int, size: Size) -> list:
-    """Every registered predictor × the fixed subset, on seeded traces."""
-    from repro.engine.job import SimJob
-    from repro.experiments.runner import PREDICTOR_NAMES
-
-    trace_seed = _trace_seed(random.Random(f"sweep-all-warm:{seed}"))
-    warmup, measured = size.slice
-    return [SimJob.make(w, p, n_uops=measured, warmup=warmup, seed=trace_seed)
-            for w in size.all_warm_workloads for p in PREDICTOR_NAMES]
-
-
 def serve_job(workload: str, predictor: str, total: int, warmup_permille: int,
               **knobs):
     """One ``serve-mixed`` job on the workload's catalog trace."""
@@ -139,12 +127,15 @@ def serve_job(workload: str, predictor: str, total: int, warmup_permille: int,
 def serve_mixed_plan(seed: int, size: Size) -> dict:
     """The shard workloads and an endless batch iterator.
 
-    Each job of a batch repeats an earlier job with probability 1/2 (a
-    shard result-cache read) and is otherwise the next unseen job of a
-    seeded permutation of the job space (a simulation and a cache write).
-    A batch never holds the same job twice.  The traces are the catalog's:
-    another trace seed would change every job's cost, and a batch's
-    latency is mostly simulation, so the seed varies only the job stream.
+    Each batch holds one new job, the next unseen job of a seeded
+    permutation of the job space (a simulation and a cache write), and
+    fills the rest with distinct earlier jobs drawn at random (shard
+    result-cache reads).  So every batch waits for exactly one
+    simulation, and the median latency sits inside that one mode rather
+    than on the step between batches with one and with two new jobs.
+    The traces are the catalog's: another trace seed would change every
+    job's cost, and a batch's latency is mostly simulation, so the seed
+    varies only the job stream.
     """
     rng = random.Random(f"serve-mixed:{seed}")
     workloads = list(size.serve_workloads)
@@ -159,20 +150,16 @@ def serve_mixed_plan(seed: int, size: Size) -> dict:
         fresh = iter(space)
         history: list = []
         while True:
-            batch: list = []
-            while len(batch) < size.serve_batch:
-                if history and rng.random() < 0.5:
-                    job = rng.choice(history)
-                    if job in batch:
-                        continue
-                else:
-                    job = next(fresh, None)
-                    if job is None:
-                        raise RuntimeError("serve-mixed ran out of new jobs; "
-                                           "widen SERVE_WARMUP_PERMILLE")
-                    history.append(job)
-                batch.append(job)
-            yield batch
+            batch = rng.sample(history, min(len(history), size.serve_batch - 1))
+            new = []
+            while len(batch) + len(new) < size.serve_batch:
+                job = next(fresh, None)
+                if job is None:
+                    raise RuntimeError("serve-mixed ran out of new jobs; "
+                                       "widen SERVE_WARMUP_PERMILLE")
+                new.append(job)
+            history.extend(new)
+            yield batch + new
 
     return {"workloads": workloads, "batches": batches()}
 
@@ -538,52 +525,6 @@ class SweepCold(Workload):
         return gate.check_results(self.observed, self.seed)
 
 
-class SweepAllWarm(Workload):
-    """Every registered predictor through the serial engine, warm store."""
-
-    def __post_init__(self):
-        self.request = "all predictors on one workload (one Engine.run_jobs call)"
-        self.jobs = sweep_all_warm_jobs(self.seed, self.size)
-        self.observed: list[tuple] = []
-
-    def setup(self) -> None:
-        self.env.fresh_setup()
-        self.env.compile_kernel()
-        from repro.pipeline import ckernel
-
-        ckernel.kernel_available()
-        wait_ok(self.env.warm_store(self.size.all_warm_workloads,
-                                    self.size.total, self.jobs[0].seed),
-                "trace-store warm-up")
-
-    def run_pass(self, index: int, tracer) -> PassRecord:
-        from repro.engine.api import Engine
-        from repro.engine.cache import ResultCache
-        from repro.engine.executors import SerialExecutor
-        from repro.workloads.catalog import clear_trace_cache
-
-        clear_trace_cache()
-        engine = Engine(SerialExecutor(), ResultCache(None))
-        # One engine batch per workload, as `repro figure 7 --workloads w`
-        # would send it, so each workload's sweep is a latency sample.
-        results, latencies = [], []
-        start = time.perf_counter()
-        for w in self.size.all_warm_workloads:
-            sent = time.perf_counter()
-            results.extend(engine.run_jobs([j for j in self.jobs if j.workload == w]))
-            latencies.append(time.perf_counter() - sent)
-        wall = time.perf_counter() - start
-        pairs = [(job, r.to_dict()) for job, r in zip(self.jobs, results)]
-        self.observed.extend(pairs)
-        if index == 0:
-            self.first_pass = [gate.canonical(d) for _, d in pairs]
-        return PassRecord(wall, latencies, jobs=len(pairs),
-                          uops=len(pairs) * self.size.total)
-
-    def gate(self) -> tuple[int, list[str]]:
-        return gate.check_results(self.observed, self.seed)
-
-
 class ServeMixed(Workload):
     """Closed loop of small batches over two TCP shards."""
 
@@ -768,6 +709,5 @@ def stop_group(proc: subprocess.Popen, grace: float) -> None:
 WORKLOADS = {
     "run-warm": RunWarm,
     "sweep-cold": SweepCold,
-    "sweep-all-warm": SweepAllWarm,
     "serve-mixed": ServeMixed,
 }
