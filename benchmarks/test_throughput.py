@@ -6,8 +6,9 @@ profiled ``gcc/vtage`` 48k-µop job — writes ``BENCH_core.json`` into the
 scratch directory (``$REPRO_BENCH_DIR``, default ``bench_out/``;
 promote with ``repro bench promote`` — see :mod:`bench_io`), and fails
 on a >30% regression against the committed
-``benchmarks/bench_baseline.json``.  It needs only pytest (no
-pytest-benchmark), so CI's perf-smoke job can run it standalone:
+``benchmarks/bench_baseline.json`` floors for its simulation mode.  It
+needs only pytest (no pytest-benchmark), so CI's perf-smoke job can run
+it standalone:
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_throughput.py -k bench_core_json
 """
@@ -94,11 +95,13 @@ def emit_bench_core(path: Path | None = None) -> dict:
 
 
 def test_bench_core_json():
-    """Emit BENCH_core.json and gate on >30% regression vs the baseline."""
+    """Emit BENCH_core.json and gate on >30% regression vs the baseline
+    floors of the simulation mode the report was measured in."""
     report = emit_bench_core()
     baseline = json.loads(BASELINE_PATH.read_text())
+    floors = baseline["uops_per_s"][report["run"]["simulation_mode"]]
     failures = []
-    for key, floor in baseline["uops_per_s"].items():
+    for key, floor in floors.items():
         measured = report["uops_per_s"].get(key)
         assert measured is not None, f"benchmark entry {key} disappeared"
         if measured < (1.0 - REGRESSION_TOLERANCE) * floor:

@@ -55,6 +55,10 @@ WATCHDOG_INTERVAL = 0.1
 #: Seconds the drain thread blocks on the result queue per poll.
 DRAIN_POLL = 0.2
 
+#: Seconds an idle worker blocks on its task queue before checking that
+#: its parent is still alive.
+PARENT_POLL = 1.0
+
 #: Environment variable bounding the queue depth (admission control);
 #: unset/0 means unbounded.  A submit whose *new* jobs would push the
 #: outstanding depth past the bound is rejected whole with
@@ -153,9 +157,22 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
     (``os._exit``), hang, slow-down or a raised error.  The surrounding
     requeue/timeout machinery is exercised exactly as a real failure
     would.
+
+    A worker holds its own ends of the queue pipes, so a SIGKILLed parent
+    never shows up as EOF: the idle wait polls instead and the worker exits
+    once its parent is gone (otherwise it would live on under PID 1).
     """
+    parent = multiprocessing.parent_process()
     while True:
-        item = task_q.get()
+        try:
+            item = task_q.get(timeout=PARENT_POLL)
+        except stdlib_queue.Empty:
+            if parent is not None and not parent.is_alive():
+                # Nobody reads the results any more; do not block exit
+                # flushing them into a full pipe.
+                result_q.cancel_join_thread()
+                return
+            continue
         if item is None:
             return
         task_id, job_dict, trace_spec, fault = item

@@ -1,7 +1,8 @@
-/* Compiled cycle-loop kernel for the precompute-driven fast path.
+/* Compiled cycle-loop kernel: the only fast path of the simulator.
  *
- * This is a C transliteration of pipeline/fastsim.py's `_run_python` (which
- * is itself a fork of pipeline/core.py's `CoreModel._run`): the sequential
+ * This is a C transliteration of pipeline/core.py's `CoreModel._run`, the
+ * sequential reference model and the source of truth: a scheduling change
+ * lands in core.py first and is re-derived here.  It implements the
  * dispatch/commit/recovery state machine over the packed trace plane, with
  * the memory hierarchy, store sets, and the supported value predictors
  * (LVP / stride / 2D-stride / VTAGE / oracle) implemented over flat arrays.
@@ -19,11 +20,11 @@
  * The kernel touches ONLY caller-provided arrays (no allocation): Python
  * owns every buffer, imports live predictor state before the call, and
  * writes the arrays back into the model objects afterwards, so post-run
- * observable state matches the pure-Python path.
+ * observable state matches the sequential model.
  *
  * Failure is always safe: any unsupported situation the Python-side guards
  * missed returns a nonzero error before results are consumed, and the
- * caller falls back to the pure-Python loop (predictor arrays are copies).
+ * caller falls back to the sequential model (predictor arrays are copies).
  *
  * Build: cc -O2 -shared -fPIC -o _ckernel.so _ckernel.c   (see ckernel.py)
  */
@@ -35,7 +36,7 @@
 
 /* Per-cycle bandwidth counts live in stamped circular windows instead of
  * dicts; BW_WINDOW bounds how far ahead of the watermark a grant may probe
- * (error 2 if exceeded -- impossible in practice, see fastsim notes). */
+ * (error 2 if exceeded -- impossible in practice). */
 #define BW_WINDOW_BITS 17
 #define BW_WINDOW ((int64_t)1 << BW_WINDOW_BITS)
 #define BW_MASK (BW_WINDOW - 1)

@@ -1,28 +1,33 @@
-"""Build, load, and drive the optional compiled cycle-loop kernel.
+"""Build, load, and drive the compiled cycle-loop kernel.
 
-``_ckernel.c`` (same directory) is a C transliteration of the pure-Python
-fast loop in :mod:`repro.pipeline.fastsim`.  This module owns everything on
-the Python side of that boundary:
+``_ckernel.c`` (same directory) is a C transliteration of the sequential
+reference model, :meth:`repro.pipeline.core.CoreModel._run`, which stays
+the source of truth: a scheduling change lands in ``core.py`` first and is
+re-derived here.  This module owns everything on the Python side of that
+boundary:
 
 * **Build on demand** — the shared object is compiled with the system C
   compiler (``$CC`` or ``cc``) into a cache directory keyed by the source
   hash, so editing the C source transparently rebuilds.  No compiler, a
   failed build, or a failed load simply disables the kernel for the
-  process; nothing is ever a hard dependency.
-* **Eligibility** — beyond :func:`fastsim.try_run`'s checks, the kernel
-  requires a *fresh* memory hierarchy and store-set predictor (it rebuilds
-  their state from flat arrays), a stock/Wide/FPC confidence policy, and
-  addresses/PCs below 2**62 (so int64 arithmetic in C is exact, including
-  the negative intermediate strides the L2 prefetcher can produce).
+  process (every run then takes the sequential model); nothing is ever a
+  hard dependency.
+* **Eligibility** — :func:`ineligible` runs the kernel's cheap checks
+  before any precompute plane is built: a *fresh* memory hierarchy and
+  store-set predictor (it rebuilds their state from flat arrays), a
+  stock/Wide/FPC confidence policy, register and sequence numbers in
+  range, and addresses/PCs below 2**62 (so int64 arithmetic in C is exact,
+  including the negative intermediate strides the L2 prefetcher can
+  produce).
 * **State marshalling** — predictor tables are *copied* into flat numpy
   arrays before the call and written back into the live model objects only
-  on success, so a kernel error (or ineligibility discovered late) falls
-  back to the pure-Python loop with the model untouched.
+  on success, so a kernel error falls back to the sequential model with
+  the model untouched.
 
 The kernel returns counters through a single ``out`` array; this module
-assembles the :class:`~repro.pipeline.result.SimResult` exactly as the
-Python loop does.  Bit-identical results in both modes are pinned by the
-golden grid (``REPRO_FAST_KERNEL=0`` vs default) and the equivalence tests.
+assembles the :class:`~repro.pipeline.result.SimResult` exactly as
+``CoreModel._run`` does.  Bit-identical results are pinned by the golden
+grid (``REPRO_FAST_SIM=0`` vs default) and the equivalence tests.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ _ADDR_LIMIT = 1 << 62
 _MAX_COMPONENTS = 16
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
+
+#: Predictor family codes — must mirror ``ptype`` in ``_ckernel.c``.
+P_NONE, P_ORACLE, P_LVP, P_STRIDE, P_VTAGE = range(5)
 
 # Module-level build state: None = not attempted, False = unavailable.
 _lib = None
@@ -242,20 +250,20 @@ def kernel_available() -> bool:
 # Eligibility
 
 
-def _policy_fields(policy):
-    """``(conf_kind, max_level, prob_array, taps, state)`` or ``None``.
+#: Confidence policies the kernel implements.  Exact type checks: any
+#: subclass that overrides transition or saturation behaviour must take
+#: the sequential model.
+_POLICIES = (ConfidencePolicy, WideConfidence, ForwardProbabilisticCounters)
 
-    Exact type checks: any confidence subclass that overrides transition or
-    saturation behaviour must take the pure-Python path.
-    """
-    kind = type(policy)
-    if kind is ConfidencePolicy or kind is WideConfidence:
-        return 0, policy.max_level, np.zeros(1, dtype=np.int64), 0, 0
-    if kind is ForwardProbabilisticCounters:
+
+def _policy_fields(policy):
+    """``(conf_kind, max_level, prob_array, taps, state)`` of a policy in
+    :data:`_POLICIES`."""
+    if type(policy) is ForwardProbabilisticCounters:
         prob = np.asarray(policy.probability_log2, dtype=np.int64)
         lfsr = policy.lfsr
         return 1, policy.max_level, prob, lfsr._taps, lfsr.state
-    return None
+    return 0, policy.max_level, np.zeros(1, dtype=np.int64), 0, 0
 
 
 def _memory_is_fresh(memory) -> bool:
@@ -286,46 +294,71 @@ def _store_sets_fresh(store_sets) -> bool:
     )
 
 
+def ineligible(model, trace, ptype: int) -> str | None:
+    """Why the kernel cannot take this run, or ``None`` when it can.
+
+    The caller (:func:`fastsim.try_run`) has already verified the predictor
+    family (*ptype*) and the default branch state.  Every check here is
+    cheap and runs before any precompute plane is built; the reason is the
+    structured string :func:`fastsim.record_fallback` counts.
+    """
+    if _load() is None:
+        return "kernel-unavailable"
+    if not _memory_is_fresh(model.memory):
+        return "kernel-ineligible:memory"
+    if not _store_sets_fresh(model.store_sets):
+        return "kernel-ineligible:store-sets"
+    packed = trace.packed()
+    if packed.n == 0:
+        return "kernel-ineligible:empty-trace"
+    a = packed.arrays
+    if (int(a["pcs"].max()) >= _ADDR_LIMIT
+            or int(a["mem_addrs"].max()) >= _ADDR_LIMIT):
+        return "kernel-ineligible:address-range"
+    if int(a["seqs"].min()) < 0:
+        return "kernel-ineligible:seqs"
+    src_flat = a["src_flat"]
+    if int(a["dsts"].max(initial=0)) >= 64 or (
+            src_flat.size and int(src_flat.max()) >= 64):
+        return "kernel-ineligible:registers"
+    predictor = model.predictor
+    if ptype in (P_LVP, P_STRIDE, P_VTAGE):
+        if type(predictor.confidence) not in _POLICIES:
+            return "kernel-ineligible:confidence"
+    if ptype == P_VTAGE:
+        if predictor._conf_threshold is None:
+            return "kernel-ineligible:confidence"
+        comps = predictor.components
+        if not 0 < len(comps) <= _MAX_COMPONENTS or any(
+                c.entries != comps[0].entries for c in comps):
+            return "kernel-ineligible:vtage-geometry"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 
 
 def try_run(model, trace, warmup, workload, ptype, plane, vplane):
-    """Run the compiled kernel, or return ``None`` to use the Python loop.
+    """Run the compiled kernel; ``None`` when the C call reports an error.
 
-    The caller (:func:`fastsim.try_run`) has already verified the predictor
-    family and the default branch state; this adds the kernel-specific
-    checks and performs the array round-trip.
+    The caller (:func:`fastsim.try_run`) has already passed
+    :func:`ineligible`; this performs the array round-trip.
     """
     lib = _load()
-    if lib is None:
-        return None
     cfg = model.config
     predictor = model.predictor
     memory = model.memory
     store_sets = model.store_sets
 
-    if not _memory_is_fresh(memory) or not _store_sets_fresh(store_sets):
-        return None
-
     packed = trace.packed()
     a = packed.arrays
     n = packed.n
-    if n == 0:
-        return None
     pcs = a["pcs"]
     mem_addrs = a["mem_addrs"]
     dsts = a["dsts"]
     src_flat = a["src_flat"]
     seqs = a["seqs"]
-    if int(pcs.max()) >= _ADDR_LIMIT or int(mem_addrs.max()) >= _ADDR_LIMIT:
-        return None
-    if int(seqs.min()) < 0:
-        return None
-    if int(dsts.max(initial=0)) >= 64:
-        return None
-    if src_flat.size and int(src_flat.max()) >= 64:
-        return None
 
     keep = []  # arrays that must stay alive across the C call
 
@@ -557,16 +590,8 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
 
     tbl = None
     vt_state_arrays = None
-    from repro.pipeline.fastsim import (  # local import: avoid cycle at load
-        _P_LVP,
-        _P_STRIDE,
-        _P_VTAGE,
-    )
-
-    if ptype in (_P_LVP, _P_STRIDE):
+    if ptype in (P_LVP, P_STRIDE):
         fields = _policy_fields(predictor.confidence)
-        if fields is None:
-            return None
         args.conf_kind, args.conf_max_level, prob, taps, state = fields
         keep.append(prob)
         args.fpc_prob = ptr(prob)
@@ -579,7 +604,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
         tags = arr([t if t is not None else 0 for t in raw_tags], np.uint64)
         args.tbl_tags = ptr(tags)
         args.tbl_tag_valid = ptr(tag_valid)
-        if ptype == _P_LVP:
+        if ptype == P_LVP:
             values = arr(predictor._values, np.uint64)
             conf = arr(predictor._conf, np.int64)
             args.tbl_values = ptr(values)
@@ -613,13 +638,9 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
             args.st_inflight = ptr(inflight)
             tbl = ("stride", tags, tag_valid, last, conf, stride, stride2,
                    two_delta, spec_value, spec_has, inflight)
-    elif ptype == _P_VTAGE:
+    elif ptype == P_VTAGE:
         vt = predictor
-        if vt._conf_threshold is None:
-            return None
         fields = _policy_fields(vt.confidence)
-        if fields is None:
-            return None
         args.conf_kind, args.conf_max_level, prob, taps, state = fields
         keep.append(prob)
         args.fpc_prob = ptr(prob)
@@ -627,11 +648,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
         args.fpc_state = state
         comps = vt.components
         ncomp = len(comps)
-        if ncomp == 0 or ncomp > _MAX_COMPONENTS:
-            return None
         entries = comps[0].entries
-        if any(c.entries != entries for c in comps):
-            return None
         vt_tags = arr(np.concatenate(
             [np.asarray(c.tags, dtype=np.int64) for c in comps]), np.int64)
         vt_values = arr(np.concatenate(
@@ -771,7 +788,7 @@ def try_run(model, trace, warmup, workload, ptype, plane, vplane):
     # ---- assemble the SimResult -----------------------------------------
     result = SimResult(
         workload=workload if workload is not None else trace.name,
-        predictor=predictor.name if ptype != 0 else "none",
+        predictor=predictor.name if ptype != P_NONE else "none",
         recovery=cfg.recovery.value,
     )
     result.n_uops = int(out[_O_N_UOPS])

@@ -140,8 +140,7 @@ class CoreModel:
                     if result is not None:
                         return result
                     if mode == "require":
-                        raise fastsim.FastPathRequired(
-                            fastsim.last_fallback() or "unknown")
+                        raise fastsim.FastPathRequired(fastsim.last_fallback())
                 else:
                     fastsim.record_fallback("disabled-by-env")
                 return self._run(trace, warmup, workload, stage_trace)

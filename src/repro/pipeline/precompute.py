@@ -6,13 +6,13 @@ work *data-parallel over the instruction stream*: branch outcomes, folded
 global/path history, predictor indices and tags depend on trace columns
 alone, never on the out-of-order timing the cycle loop resolves.  This
 module materialises all of it once per trace as numpy arrays the fast
-paths (:mod:`repro.pipeline.fastsim`, the compiled kernel) index into:
+path (the compiled kernel, :mod:`repro.pipeline.ckernel`) indexes into:
 
 * :class:`TracePlane` — per-µop branch redirect codes (a fresh
   :class:`~repro.branch.unit.BranchUnit` walked over the control µops,
   exactly the objects the sequential model trains), the post-branch
   ``(ghist & 2^64-1, path & 0xFFFF)`` context every value-predictor lookup
-  would observe, and the scrambled PC / predictor-key hashes.
+  would observe, and the scrambled predictor-key hash.
 * :class:`VTAGEPlane` — per-component VTAGE indices and tags for every
   µop, vectorised with the batched fold/hash primitives
   (:func:`repro.util.history.fold_array`,
@@ -62,7 +62,6 @@ class TracePlane:
         "redirect",
         "ghist64",
         "path16",
-        "scr_pc",
         "scr_pkey",
         "cond_branches",
         "direction_mispredicts",
@@ -70,17 +69,15 @@ class TracePlane:
         "final_ghist",
         "final_path",
         "final_ghist_length",
-        "_lists",
     )
 
-    def __init__(self, n, redirect, ghist64, path16, scr_pc, scr_pkey,
+    def __init__(self, n, redirect, ghist64, path16, scr_pkey,
                  cond_branches, direction_mispredicts, target_mispredicts,
                  final_ghist, final_path, final_ghist_length):
         self.n = n
         self.redirect = redirect
         self.ghist64 = ghist64
         self.path16 = path16
-        self.scr_pc = scr_pc
         self.scr_pkey = scr_pkey
         self.cond_branches = cond_branches
         self.direction_mispredicts = direction_mispredicts
@@ -88,50 +85,27 @@ class TracePlane:
         self.final_ghist = final_ghist
         self.final_path = final_path
         self.final_ghist_length = final_ghist_length
-        self._lists = None
 
     @property
     def nbytes(self) -> int:
         return (self.redirect.nbytes + self.ghist64.nbytes +
-                self.path16.nbytes + self.scr_pc.nbytes + self.scr_pkey.nbytes)
-
-    def lists(self) -> tuple[list, list, list]:
-        """``(redirect, scr_pc, scr_pkey)`` as plain lists (cached) — the
-        representation the pure-Python fast loop indexes per µop."""
-        lists = self._lists
-        if lists is None:
-            lists = self._lists = (
-                self.redirect.tolist(),
-                self.scr_pc.tolist(),
-                self.scr_pkey.tolist(),
-            )
-        return lists
+                self.path16.nbytes + self.scr_pkey.nbytes)
 
 
 class VTAGEPlane:
     """Per-component VTAGE (index, tag) for every µop of one trace."""
 
-    __slots__ = ("n", "idx", "tag", "_lists")
+    __slots__ = ("n", "idx", "tag")
 
     def __init__(self, n: int, idx: list[np.ndarray], tag: list[np.ndarray]):
         self.n = n
         self.idx = idx
         self.tag = tag
-        self._lists = None
 
     @property
     def nbytes(self) -> int:
         return (sum(a.nbytes for a in self.idx) +
                 sum(a.nbytes for a in self.tag))
-
-    def lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        lists = self._lists
-        if lists is None:
-            lists = self._lists = (
-                [a.tolist() for a in self.idx],
-                [a.tolist() for a in self.tag],
-            )
-        return lists
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +175,6 @@ def build_trace_plane(trace: Trace) -> TracePlane:
         redirect=redirect,
         ghist64=ghist64,
         path16=path16,
-        scr_pc=scramble_array(a["pcs"]),
         scr_pkey=scramble_array(pkeys),
         cond_branches=unit.cond_branches,
         direction_mispredicts=unit.direction_mispredicts,
@@ -308,7 +281,6 @@ def _plane_from_store(store, identity, n: int) -> TracePlane | None:
             redirect=arrays["redirect"],
             ghist64=arrays["ghist64"],
             path16=arrays["path16"],
-            scr_pc=arrays["scr_pc"],
             scr_pkey=arrays["scr_pkey"],
             cond_branches=int(meta["cond_branches"]),
             direction_mispredicts=int(meta["direction_mispredicts"]),
@@ -339,7 +311,6 @@ def _plane_to_store(store, identity, plane: TracePlane) -> None:
         "redirect": plane.redirect,
         "ghist64": plane.ghist64,
         "path16": plane.path16,
-        "scr_pc": plane.scr_pc,
         "scr_pkey": plane.scr_pkey,
     }
     store.put_aux(*identity, _AUX_KIND, PRECOMPUTE_VERSION, arrays, meta)
@@ -376,7 +347,7 @@ def default_branch_state(model) -> bool:
     """Whether *model*'s branch unit is a fresh, default-configured
     :class:`BranchUnit` — the state :func:`build_trace_plane` assumed.
 
-    The fast paths refuse to run (and fall back to the sequential model)
+    The kernel refuses to run (and falls back to the sequential model)
     when a test pre-warmed or reconfigured the unit.
     """
     unit = model.branch_unit

@@ -1,20 +1,20 @@
-"""Differential scenario/config fuzzer over the three cycle loops.
+"""Differential scenario/config fuzzer over the two cycle loops.
 
-Since PR 6 the repo carries three interchangeable implementations of the
-same scheduler — the legacy sequential :meth:`CoreModel._run`, the
-vectorized pure-Python fast loop (:mod:`repro.pipeline.fastsim`) and the
-compiled C kernel (:mod:`repro.pipeline.ckernel`) — whose equivalence
-was pinned only on a fixed golden grid.  This module is the standing
-correctness harness that keeps them honest across the *whole* workload ×
-predictor × recovery × knob space:
+The repo carries two interchangeable implementations of the same
+scheduler: the sequential :meth:`~repro.pipeline.core.CoreModel._run`,
+which is the reference and the source of truth, and the compiled C
+kernel (:mod:`repro.pipeline.ckernel`), a transliteration of it.  This
+module is the standing correctness harness that keeps them equal across
+the *whole* workload × predictor × recovery × knob space, not only the
+golden grid:
 
 * :func:`sample_specs` draws jobs from a seed — catalog kernels, random
   scenario knob points (``scenario-c*-e*-l*``) and any ingested traces
   registered in the trace store;
-* :func:`run_differential` runs one spec through all three
-  implementations, forcing ``REPRO_FAST_SIM`` / ``REPRO_FAST_KERNEL``
-  per leg (both are read at call time, so in-process forcing is exact),
-  and requires **dataclass-equal** :class:`SimResult`\\ s;
+* :func:`run_differential` runs one spec through both implementations,
+  forcing ``REPRO_FAST_SIM`` per leg (read at call time, so in-process
+  forcing is exact), and requires **dataclass-equal**
+  :class:`SimResult`\\ s;
 * interesting corners — divergence, extreme accuracy, zero coverage,
   fallback-only configs — are auto-registered under stable names in a
   JSON registry next to the trace store, each with a replayable one-line
@@ -23,7 +23,7 @@ predictor × recovery × knob space:
 Every leg builds a *fresh* predictor and model and calls
 :func:`~repro.pipeline.core.simulate` directly — deliberately below the
 engine layer, whose result cache keys jobs by content (not by
-implementation) and would otherwise coalesce the three legs into one
+implementation) and would otherwise coalesce the two legs into one
 simulation.  The trace itself is shared across legs via the catalog LRU:
 traces are immutable once simulated, so sharing is free and exact.
 """
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.pipeline.config import CoreConfig, RecoveryMode
-from repro.pipeline.core import CoreModel, simulate
+from repro.pipeline.core import simulate
 from repro.pipeline import fastsim
 from repro.util.atomicio import atomic_write_text, file_lock
 from repro.workloads import catalog, ingest, scenarios
@@ -48,11 +48,10 @@ from repro.workloads import catalog, ingest, scenarios
 #: line is only meaningful against the grammar that emitted it.
 FUZZ_VERSION = 1
 
-#: The three implementation legs and the env forcing that selects each.
+#: The two implementation legs and the env forcing that selects each.
 LEGS: dict[str, dict[str, str]] = {
-    "legacy": {fastsim.FAST_SIM_ENV: "0", fastsim.FAST_KERNEL_ENV: "0"},
-    "python": {fastsim.FAST_SIM_ENV: "1", fastsim.FAST_KERNEL_ENV: "0"},
-    "kernel": {fastsim.FAST_SIM_ENV: "1", fastsim.FAST_KERNEL_ENV: "1"},
+    "legacy": {fastsim.FAST_SIM_ENV: "0"},
+    "kernel": {fastsim.FAST_SIM_ENV: "1"},
 }
 
 _RECOVERIES = ("squash", "reissue")
@@ -152,21 +151,20 @@ def run_leg(spec: FuzzSpec, leg: str):
 
 
 def run_differential(spec: FuzzSpec) -> FuzzOutcome:
-    """Run *spec* through all three legs and compare dataclass-equal.
+    """Run *spec* through both legs and compare dataclass-equal.
 
-    The legacy leg is the reference; any leg whose :class:`SimResult`
-    differs marks the outcome divergent.  The fast path's fallback reason
-    (if the config is outside the inlined families) is captured from the
-    python leg so fallback-only corners are visible.
+    The legacy leg is the reference; a kernel leg whose :class:`SimResult`
+    differs marks the outcome divergent.  When the kernel leg declined
+    (a predictor family outside the kernel, an ingested trace's address
+    range, no C toolchain), the reason it recorded is kept so
+    fallback-only corners are visible.
     """
-    from repro.experiments.runner import make_predictor
-
     outcome = FuzzOutcome(spec=spec)
-    predictor = make_predictor(spec.predictor, fpc=spec.fpc,
-                               recovery=spec.recovery, entries=spec.entries)
-    outcome.fallback = fastsim.fallback_reason(CoreModel(predictor=predictor))
     for leg in LEGS:
+        declined = sum(fastsim.fallback_stats().values())
         outcome.results[leg] = run_leg(spec, leg)
+        if leg == "kernel" and sum(fastsim.fallback_stats().values()) > declined:
+            outcome.fallback = fastsim.last_fallback()
     reference = outcome.results["legacy"]
     for leg, result in outcome.results.items():
         if result != reference:

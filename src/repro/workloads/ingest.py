@@ -10,8 +10,9 @@ stream straight to :class:`~repro.isa.trace.PackedColumns` through the
 content-addressed trace store.  From there an ingested trace is
 indistinguishable from a generated one: the catalog LRU caches it, the
 shared-memory plane fans it out to workers, precompute planes persist
-next to it, and every simulator implementation (legacy / fastsim /
-C kernel) consumes it bit-identically.
+next to it, and both cycle loops produce the same results on it.  (The
+compiled kernel declines ingested traces today: their synthesised
+addresses exceed its 2**62 range, so they run the reference model.)
 
 **Line formats.**  Two layouts are auto-detected per line:
 

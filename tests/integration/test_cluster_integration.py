@@ -79,6 +79,19 @@ def _spawn_shard(*extra_args, jobs="1", shm=True):
         raise
 
 
+def _pid_running(pid: int) -> bool:
+    """Whether *pid* names a live process (a zombie counts as exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _local_results(jobs):
     engine = Engine(executor=SerialExecutor(), cache=ResultCache(None))
     return engine.run_jobs(jobs)
@@ -213,9 +226,19 @@ class TestClusterFailover:
                     time.sleep(0.02)
                 else:
                     pytest.fail("shard A never went busy")
+                worker_pids = [row["pid"] for row in
+                               probe.status()["queue"]["workers"]]
             proc_a.send_signal(signal.SIGKILL)
             proc_a.wait(timeout=15)
             killed = True
+            # The killed shard's workers notice their parent is gone and
+            # exit instead of living on as orphans.
+            deadline = time.monotonic() + 10
+            while any(map(_pid_running, worker_pids)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert worker_pids and not any(map(_pid_running, worker_pids)), \
+                "a SIGKILLed shard left orphaned worker processes"
             thread.join(timeout=300)
             assert not thread.is_alive(), "cluster batch hung after kill"
 

@@ -25,7 +25,7 @@ CONSENT = {PROMOTE_ENV: "1"}
 
 def good_report(**run_overrides) -> dict:
     run = {"rounds": 5, "load_avg_1m": 0.2, "cpu_count": 8,
-           "simulation_mode": "python", "promoted": False}
+           "simulation_mode": "kernel-c", "promoted": False}
     run.update(run_overrides)
     return {"suite": "io", "results": {"journal_append_ms": 1.25},
             "run": run}

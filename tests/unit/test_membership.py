@@ -315,15 +315,20 @@ class TestWarmPush:
                 _wait_for(delivered,
                           message="warm push delivery to the successor")
                 assert b.service.warm_pushed >= 1
+                ring = b.service._cluster_ring()
+                owned = [key for key in (job.content_key() for job in jobs)
+                         if ring.preference(key)[:1] in ([], [b.address])]
+                # Each completion re-arms the push loop, so B's keys can
+                # land in separate pushes: the first seeded entry does
+                # not mean the last one has arrived.
+                _wait_for(lambda: b.service.warm_push_failures > 0 or all(
+                    a.service.cache.peek(key) is not None for key in owned),
+                    message="every key B owns pushed to A")
                 if b.service.warm_push_failures == 0:
                     # Clean run: every key B owns sits warm in A's
                     # cache, served without re-simulation (peek only,
                     # so hits would be cheap).
-                    for job in jobs:
-                        key = job.content_key()
-                        prefs = b.service._cluster_ring().preference(key)
-                        if prefs and prefs[0] != b.address:
-                            continue  # not B's to push
+                    for key in owned:
                         assert a.service.cache.peek(key) is not None
 
     def test_zero_budget_disables_warming(self):

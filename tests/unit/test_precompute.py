@@ -1,7 +1,7 @@
 """The precompute plane is bit-identical to the scalar front end.
 
-The fast paths (``pipeline/fastsim.py`` and the compiled kernel) trust
-the plane completely: redirect codes stand in for the branch unit, the
+The compiled kernel (``pipeline/ckernel.py``) trusts the plane
+completely: redirect codes stand in for the branch unit, the
 ``(ghist, path)`` columns stand in for the live prediction context, and
 the VTAGE plane stands in for ``_TaggedComponent.index_and_tag``.  These
 tests pin each of those equivalences against the *object-level* APIs the
@@ -15,6 +15,7 @@ from repro.branch.unit import BranchUnit
 from repro.core.confidence import ConfidencePolicy
 from repro.core.vtage import VTAGEPredictor
 from repro.isa.uop import OpClass
+from repro.pipeline import precompute
 from repro.pipeline.core import CoreModel
 from repro.pipeline.precompute import (
     PRECOMPUTE_VERSION,
@@ -66,11 +67,10 @@ def test_trace_plane_matches_branch_unit_walk(trace):
 
 
 def test_trace_plane_hash_columns(trace):
-    """scr_pc / scr_pkey match the scalar scramble of pc and predictor key."""
+    """scr_pkey matches the scalar scramble of the predictor key."""
     plane = trace_plane(trace)
     a = trace.packed().arrays
     pkeys = (a["pcs"] << np.uint64(2)) ^ a["uop_indexes"].astype(np.uint64)
-    assert np.array_equal(plane.scr_pc, scramble_array(a["pcs"]))
     assert np.array_equal(plane.scr_pkey, scramble_array(pkeys))
 
 
@@ -140,6 +140,43 @@ def test_trace_plane_persists_to_store(tmp_path, monkeypatch):
         assert np.array_equal(loaded.scr_pkey, plane.scr_pkey)
         assert loaded.final_ghist == plane.final_ghist
         assert loaded.final_ghist_length == plane.final_ghist_length
+    finally:
+        catalog.clear_trace_cache()
+
+
+def test_store_plane_with_retired_column_still_loads(tmp_path, monkeypatch):
+    """Store entries written while the plane still carried a scrambled-PC
+    column keep loading: extra arrays are ignored, so the layout change
+    needs no PRECOMPUTE_VERSION bump."""
+    monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+    catalog.clear_trace_cache()
+    try:
+        first = build_trace("gzip", 3000)
+        plane = precompute.build_trace_plane(first)
+        name, n_uops, seed = first.store_identity
+        arrays = {"redirect": plane.redirect, "ghist64": plane.ghist64,
+                  "path16": plane.path16,
+                  "scr_pc": scramble_array(first.packed().arrays["pcs"]),
+                  "scr_pkey": plane.scr_pkey}
+        meta = {"n": plane.n, "cond_branches": plane.cond_branches,
+                "direction_mispredicts": plane.direction_mispredicts,
+                "target_mispredicts": plane.target_mispredicts,
+                "final_ghist": f"{plane.final_ghist:x}",
+                "final_path": plane.final_path,
+                "final_ghist_length": plane.final_ghist_length}
+        TraceStore(str(tmp_path)).put_aux(name, n_uops, seed, "plane",
+                                          PRECOMPUTE_VERSION, arrays, meta)
+        catalog.clear_trace_cache()
+        reloaded = build_trace("gzip", 3000)
+
+        def no_rebuild(trace):
+            raise AssertionError("plane rebuilt instead of loaded")
+
+        monkeypatch.setattr(precompute, "build_trace_plane", no_rebuild)
+        loaded = trace_plane(reloaded)
+        assert np.array_equal(loaded.scr_pkey, plane.scr_pkey)
+        assert np.array_equal(loaded.redirect, plane.redirect)
+        assert loaded.final_ghist == plane.final_ghist
     finally:
         catalog.clear_trace_cache()
 
